@@ -31,10 +31,11 @@ bench-read:
 	$(GO) test -bench Populated -benchmem -benchtime=2s -run '^$$' .
 
 # Storage-tier microbenchmarks: Fetch cost per serving tier, for both the
-# all-in-heap backends and the real file-backed ones — the numbers behind
-# bench_tables.txt's "storage engine" table.
+# all-in-heap backends and the real file-backed ones, plus the cost of one
+# admission into a 1k/5k/20k-object manager — the numbers behind
+# bench_tables.txt's "storage engine" and "admission placement" tables.
 bench-store:
-	$(GO) test -bench AccessByTier -benchmem -benchtime=2s -run '^$$' ./internal/storage/
+	$(GO) test -bench 'AccessByTier|AdmitPopulated' -benchmem -benchtime=2s -run '^$$' ./internal/storage/
 
 # Serve-path gate: the warm heap-tier GET /body benchmark plus the
 # allocs/op ceiling test — fails when the zero-copy serve path regresses

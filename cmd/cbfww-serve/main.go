@@ -171,14 +171,6 @@ func build(opts options) (*daemon, error) {
 	// it, and the daemon checkpoints on shutdown / rehydrates on start.
 	// Empty keeps every tier in the heap (the simulation shape).
 	cfg.DataDir = opts.dataDir
-	if opts.mmapTier > 0 {
-		// Four-tier stack: heap / mmap arena / disk / segment log. The warm
-		// tier needs a data directory to map its arena file under.
-		if opts.dataDir == "" {
-			return nil, fmt.Errorf("cbfww-serve: -mmap-tier requires -data-dir")
-		}
-		cfg.Storage = cfg.Storage.WithMmapTier(core.Bytes(opts.mmapTier))
-	}
 	if opts.schemaFile != "" {
 		text, err := os.ReadFile(opts.schemaFile)
 		if err != nil {
@@ -189,6 +181,16 @@ func build(opts options) (*daemon, error) {
 			return nil, err
 		}
 		cfg.ApplySchema(s)
+	}
+	if opts.mmapTier > 0 {
+		// Four-tier stack: heap / mmap arena / disk / segment log, built
+		// from the schema's tier table when one was given (the schema
+		// replaces the whole storage config, so it must come first). The
+		// warm tier needs a data directory to map its arena file under.
+		if opts.dataDir == "" {
+			return nil, fmt.Errorf("cbfww-serve: -mmap-tier requires -data-dir")
+		}
+		cfg.Storage = cfg.Storage.WithMmapTier(core.Bytes(opts.mmapTier))
 	}
 
 	// A serving daemon lives on wall-clock time: usage windows, aging and

@@ -8,9 +8,13 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"cbfww/internal/core"
 )
 
 func TestServeSmoke(t *testing.T) {
@@ -289,6 +293,51 @@ func TestServeMmapTierAndMemPressure(t *testing.T) {
 	defer cancel()
 	if err := d.shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestServeSchemaKeepsMmapTier: -schema and -mmap-tier together build the
+// four-tier stack from the schema's capacities and latencies, instead of
+// the schema's three-tier table silently dropping the warm tier.
+func TestServeSchemaKeepsMmapTier(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tiers.schema")
+	text := "tier memory capacity 3MB latency 1\ntier disk capacity 50MB latency 20\ntier tertiary latency 200\n"
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatalf("write schema: %v", err)
+	}
+	d, err := build(options{
+		addr:         "127.0.0.1:0",
+		sites:        2,
+		pages:        4,
+		seed:         3,
+		workers:      2,
+		dataDir:      t.TempDir(),
+		fetchTimeout: 5 * time.Second,
+		schemaFile:   path,
+		mmapTier:     1 << 20,
+	})
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	defer d.wh.Close()
+	tiers := d.wh.StorageManager().Tiers()
+	want := []struct {
+		name     string
+		capacity core.Bytes
+		latency  core.Duration
+	}{
+		{"memory", 3 * core.MB, 1},
+		{"mmap", 1 << 20, 1 + (20-1)/4},
+		{"disk", 50 * core.MB, 20},
+		{"tertiary", 0, 200},
+	}
+	if len(tiers) != len(want) {
+		t.Fatalf("tier table %+v, want %d tiers", tiers, len(want))
+	}
+	for i, w := range want {
+		if tiers[i].Name != w.name || tiers[i].Capacity != w.capacity || tiers[i].Latency != w.latency {
+			t.Errorf("tier %d = %+v, want %s capacity %v latency %v", i, tiers[i], w.name, w.capacity, w.latency)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 
 	"cbfww/internal/core"
@@ -104,5 +105,51 @@ func BenchmarkAccessByTier(b *testing.B) {
 			}
 			m.Close()
 		}
+	}
+}
+
+// BenchmarkAdmitPopulated measures one admission into a populated
+// manager: each op admits a fresh object and removes the oldest, holding
+// the population at n. Sizes (1B–64KB) and priorities are seeded-random;
+// memory holds about an eighth of the bytes and disk about half, so
+// every admission contends for the finite tiers (`make bench-store`).
+func BenchmarkAdmitPopulated(b *testing.B) {
+	for _, n := range []int{1000, 5000, 20000} {
+		b.Run(fmt.Sprintf("objects=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(n)))
+			const meanSize = 32 << 10
+			cfg := DefaultConfig()
+			cfg.MemCapacity = core.Bytes(n) * meanSize / 8
+			cfg.DiskCapacity = core.Bytes(n) * meanSize / 2
+			m, err := NewManager(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer m.Close()
+			admission := func(id int) Admission {
+				return Admission{
+					ID: core.ObjectID(id), Size: core.Bytes(rng.Intn(2*meanSize) + 1),
+					Version: 1, Priority: core.Priority(rng.Float64()),
+				}
+			}
+			batch := make([]Admission, n)
+			for i := range batch {
+				batch[i] = admission(i + 1)
+			}
+			if err := m.AdmitAll(batch); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a := admission(n + i + 1)
+				if err := m.Admit(a.ID, a.Size, a.Version, a.Priority); err != nil {
+					b.Fatal(err)
+				}
+				if err := m.Remove(core.ObjectID(i + 1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -20,7 +20,7 @@ import (
 // restored placement points at whichever on-disk bytes actually survived,
 // rather than replaying a layout over content that may be gone.
 //
-// Format (same CRC-per-line crash discipline as the layout file):
+// Format (one CRC per line, so a torn write loses only its tail):
 //
 //	cbfww-manifest v1
 //	<id> <size> <version> <priority> <tertiaryPos> <payload 0|1> <crc32>
@@ -203,11 +203,8 @@ func (m *Manager) RecoverFromDisk() (int, RecoveryReport, error) {
 	}
 
 	for _, e := range entries {
-		o := &object{
-			id: e.id, size: e.size, version: e.version, priority: e.priority,
-			tertiaryPos: e.tertiaryPos, hasPayload: e.hasPayload,
-			copies: make([]copyState, len(m.tiers)),
-		}
+		o := m.newObject(e.id, e.size, e.version, e.priority, e.hasPayload)
+		o.tertiaryPos = e.tertiaryPos
 		if e.hasPayload {
 			// Adopt only copies whose bytes actually survived, slowest tier
 			// first. The anchor boundary tolerates version drift (backups

@@ -365,6 +365,54 @@ func TestAdmitAllBulk(t *testing.T) {
 	}
 }
 
+// TestAdmitAllAtomic: a batch that fails validation admits nothing —
+// no objects, no anchor bytes, no usage — whichever entry is bad.
+func TestAdmitAllAtomic(t *testing.T) {
+	m := newTestManager(t)
+	if err := m.AdmitBytes(1, 20, 1, 0.9, make([]byte, 20)); err != nil {
+		t.Fatal(err)
+	}
+	good := func(id core.ObjectID) Admission {
+		return Admission{ID: id, Size: 10, Version: 1, Priority: 0.5, Payload: make([]byte, 10)}
+	}
+	bad := map[string][]Admission{
+		"bad size":    {good(2), good(3), {ID: 4, Size: 0}},
+		"existing ID": {good(2), good(3), good(1)},
+		"repeated ID": {good(2), good(3), good(2)},
+	}
+	wantErr := map[string]error{"bad size": core.ErrInvalid, "existing ID": core.ErrExists, "repeated ID": core.ErrExists}
+	for name, batch := range bad {
+		var used []core.Bytes
+		for tier := Tier(0); tier < Tier(m.NumTiers()); tier++ {
+			used = append(used, m.Used(tier))
+		}
+		blobs := len(m.Backend(m.last()).Keys())
+		if err := m.AdmitAll(batch); !errors.Is(err, wantErr[name]) {
+			t.Fatalf("%s: err = %v, want %v", name, err, wantErr[name])
+		}
+		if m.Len() != 1 {
+			t.Errorf("%s: Len = %d after a failed batch, want 1", name, m.Len())
+		}
+		for tier := Tier(0); tier < Tier(m.NumTiers()); tier++ {
+			if got := m.Used(tier); got != used[tier] {
+				t.Errorf("%s: %s used %v after a failed batch, want %v", name, m.TierName(tier), got, used[tier])
+			}
+		}
+		if got := len(m.Backend(m.last()).Keys()); got != blobs {
+			t.Errorf("%s: anchor holds %d blobs after a failed batch, want %d", name, got, blobs)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	if err := m.AdmitAll([]Admission{good(2), good(3)}); err != nil {
+		t.Fatalf("valid batch after failures: %v", err)
+	}
+	if m.Len() != 3 {
+		t.Errorf("Len = %d, want 3", m.Len())
+	}
+}
+
 func TestTierString(t *testing.T) {
 	if Memory.String() != "memory" || Disk.String() != "disk" ||
 		Tertiary.String() != "tertiary" || Tier(7).String() != "tier(7)" {
